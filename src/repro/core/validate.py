@@ -11,10 +11,18 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .domains import ResolvedRect
 from .stencil import Stencil, StencilGroup
 
-__all__ = ["ValidationError", "check_stencil", "check_group", "footprint_bounds"]
+__all__ = [
+    "ValidationError",
+    "check_stencil",
+    "check_group",
+    "check_grids",
+    "footprint_bounds",
+]
 
 
 class ValidationError(ValueError):
@@ -134,22 +142,18 @@ def check_group(
         check_stencil(s, shapes)
 
 
-def check_arrays(
-    group: StencilGroup,
-    grids: Mapping[str, "object"],
-    params: Mapping[str, float],
-) -> None:
-    """Call-time validation: every grid/param present, dtypes coherent."""
-    import numpy as np
+def check_grids(
+    names: frozenset[str], arrays: Mapping[str, np.ndarray]
+) -> np.dtype:
+    """Bind-time validation: every grid in ``names`` present, one dtype.
 
-    needed_grids = group.grids()
-    missing = needed_grids - set(grids)
+    Returns that dtype.  Params are checked per call by the kernel.
+    """
+    missing = names - arrays.keys()
     if missing:
         raise ValidationError(f"missing grids at call time: {sorted(missing)}")
-    needed_params = group.params()
-    missing_p = needed_params - set(params)
-    if missing_p:
-        raise ValidationError(f"missing params at call time: {sorted(missing_p)}")
-    dtypes = {np.asarray(grids[g]).dtype for g in needed_grids}
+    dtypes = {a.dtype for a in arrays.values()}
     if len(dtypes) > 1:
         raise ValidationError(f"grids have mixed dtypes: {sorted(map(str, dtypes))}")
+    (dtype,) = dtypes
+    return dtype

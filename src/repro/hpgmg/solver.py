@@ -12,6 +12,7 @@ a code change (the paper's single-source performance portability).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from ..core.stencil import StencilGroup
@@ -168,17 +169,7 @@ class MultigridSolver:
         return "lam"
 
     def _compile(self, group: StencilGroup, level: Level) -> Callable:
-        shapes = {g: level.shape for g in group.grids()}
-        kernel = group.compile(
-            backend=self.backend, shapes=shapes, dtype=level.dtype,
-            **self.backend_options,
-        )
-        grids = {g: level.grids[g] for g in group.grids()}
-
-        def run(**params):
-            kernel(**grids, **params)
-
-        return run
+        return self._bind(group, {g: level.grids[g] for g in group.grids()})
 
     def _compile_pair(
         self,
@@ -186,17 +177,21 @@ class MultigridSolver:
         level_of: dict[str, Level],
         grid_of: dict[str, str],
     ) -> Callable:
-        shapes = {g: level_of[g].shape for g in group.grids()}
+        return self._bind(
+            group,
+            {g: level_of[g].grids[grid_of[g]] for g in group.grids()},
+        )
+
+    def _bind(self, group: StencilGroup, grids: dict) -> Callable:
+        """Compile ``group`` for ``grids`` and bind it to them, so each
+        cycle calls the kernel with params only (see
+        :meth:`CompiledKernel.bind`)."""
         kernel = group.compile(
-            backend=self.backend, shapes=shapes,
+            backend=self.backend,
+            shapes={g: a.shape for g, a in grids.items()},
             dtype=self.levels[0].dtype, **self.backend_options,
         )
-        grids = {g: level_of[g].grids[grid_of[g]] for g in group.grids()}
-
-        def run(**params):
-            kernel(**grids, **params)
-
-        return run
+        return kernel.bind(**grids)
 
     def _build_smoother(self, level: Level) -> Callable:
         ndim = level.ndim
@@ -228,13 +223,8 @@ class MultigridSolver:
         fwd = self._cheby_stencil(ndim, Ax, "x", "tmp", lam, "cheb_w0")
         bwd = self._cheby_stencil(ndim, Ax_t, "tmp", "x", lam, "cheb_w1")
         group = StencilGroup(bc_x + [fwd] + bc_t + [bwd], name="cheby_smooth")
-        inner = self._compile(group, level)
         ws = _chebyshev_weights(degree=2)
-
-        def run():
-            inner(cheb_w0=ws[0], cheb_w1=ws[1])
-
-        return run
+        return partial(self._compile(group, level), cheb_w0=ws[0], cheb_w1=ws[1])
 
     @staticmethod
     def _cheby_stencil(ndim, Ax, grid, out, lam, wname):

@@ -130,7 +130,8 @@ class ResilientKernel:
     """A kernel that walks a backend chain instead of dying.
 
     Behaves like the :class:`~repro.backends.base.CompiledKernel` it
-    wraps — ``kernel(**grids, **params)`` — plus:
+    wraps — ``kernel(**grids, **params)``, or ``kernel.bind(**grids)``
+    then ``kernel(**params)`` — plus:
 
     * ``serving_backend`` — who actually served the last successful
       call (``None`` until one succeeds);
@@ -160,6 +161,7 @@ class ResilientKernel:
         self._options = dict(options or {})
         self._pos = 0
         self._kernel = None
+        self._grids: dict | None = None  # the last bind, re-applied on fallback
         self._serving: str | None = None
         self._warned = False
         if shapes is not None:
@@ -176,6 +178,24 @@ class ResilientKernel:
     @property
     def degraded(self) -> bool:
         return self._serving is not None and self._serving != self.chain[0]
+
+    def bind(self, **grids) -> "ResilientKernel":
+        """Bind the serving kernel to ``grids`` (see
+        :meth:`~repro.backends.base.CompiledKernel.bind`); returns self.
+
+        Each backend the chain advances to afterwards is bound to the
+        same grids before it serves, so ``kernel(**params)`` keeps
+        working across a fallback.
+        """
+        while True:
+            kernel, name = self._ensure_kernel()
+            try:
+                self._with_retries(lambda: kernel.bind(**grids))
+            except FALLBACK_ERRORS as e:
+                self._fail(name, e)
+                continue
+            self._grids = grids
+            return self
 
     def __call__(self, **kwargs) -> None:
         while True:
@@ -247,10 +267,13 @@ class ResilientKernel:
         while self._kernel is None:
             name = self._current_name()
             try:
-                self._kernel = self._build(name)
+                kernel = self._build(name)
+                if self._grids is not None:
+                    self._with_retries(lambda: kernel.bind(**self._grids))
             except FALLBACK_ERRORS as e:
                 self._fail(name, e)
                 continue
+            self._kernel = kernel
             if self._shapes is not None:
                 # eager compile already proved the backend works
                 self._mark_serving(name)

@@ -230,6 +230,15 @@ class TestReport:
         assert "jit.cc" in out
         assert "jit.cache.miss" in out
 
+    def test_stats_quantiles_are_clamped_to_observed_range(self):
+        telemetry.kernel_call("numpy", 3.606e-3, 10)
+        row = next(
+            line for line in telemetry.render_stats().splitlines()
+            if line.startswith("numpy")
+        )
+        assert row.split()[-3:] == ["0.003606"] * 3  # p50, p95, p99
+        assert "0.00375" not in telemetry.render_stats()
+
     def test_format_stats_empty_registry(self):
         out = telemetry.format_stats(telemetry.snapshot())
         assert "telemetry mode" in out
